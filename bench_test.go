@@ -155,6 +155,7 @@ func BenchmarkNetworkForward(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer net.Close()
 	batch := tensor.New(16, 1, 12, 12)
 	rng := rand.New(rand.NewSource(3))
 	for i := range batch.Data() {
@@ -177,6 +178,7 @@ func BenchmarkForwardArenaSteady(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer net.Close()
 	batch := tensor.New(16, 1, 12, 12)
 	rng := rand.New(rand.NewSource(3))
 	for i := range batch.Data() {
@@ -244,6 +246,7 @@ func BenchmarkFullTrainerStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer net.Close()
 	tr := capsnet.NewFullTrainer(net, 0.1)
 	rng := rand.New(rand.NewSource(5))
 	batch := tensor.New(20, 1, 12, 12)
@@ -273,7 +276,8 @@ func BenchmarkFullTrainerStep(b *testing.B) {
 // future PRs: the req/s metric of the microbatch8 case should stay
 // measurably above batch1 (batched PredictionVectors streams the W_ij
 // tensor once per batch instead of once per request; on multi-core
-// hosts parallelFor additionally fans the batch out over GOMAXPROCS).
+// hosts the network's chunk workers additionally fan the batch out
+// over GOMAXPROCS).
 func BenchmarkServeThroughput(b *testing.B) {
 	cfg := capsnet.Config{
 		InputChannels: 1, InputH: 28, InputW: 28,
@@ -282,12 +286,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 		Classes: 10, DigitDim: 16, RoutingIterations: 3,
 		Seed: 1,
 	}
-	net, err := capsnet.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(3))
-	img := make([]float32, net.ImageLen())
+	img := make([]float32, cfg.InputChannels*cfg.InputH*cfg.InputW)
 	for i := range img {
 		img[i] = float32(rng.Float64())
 	}
@@ -304,20 +304,27 @@ func BenchmarkServeThroughput(b *testing.B) {
 		{"batch1", 1},
 		{"microbatch8", 8},
 	} {
+		// The server owns its network and closes it, so each mode builds
+		// one network and one server, shared by every run of the
+		// sub-benchmark.
+		net, err := capsnet.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := serve.New(net, capsnet.ExactMath{}, serve.Config{
+			MaxBatch: mode.maxBatch,
+			// Generous fill window so saturated batches actually
+			// reach MaxBatch; with eager clients the batch fills
+			// long before the timer fires.
+			MaxDelay:       20 * time.Millisecond,
+			QueueSize:      1024,
+			RequestTimeout: time.Minute,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
 		b.Run(mode.name, func(b *testing.B) {
-			srv, err := serve.New(net, capsnet.ExactMath{}, serve.Config{
-				MaxBatch: mode.maxBatch,
-				// Generous fill window so saturated batches actually
-				// reach MaxBatch; with eager clients the batch fills
-				// long before the timer fires.
-				MaxDelay:       20 * time.Millisecond,
-				QueueSize:      1024,
-				RequestTimeout: time.Minute,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
 			// The default transport keeps only two idle connections
 			// per host; with 16 concurrent clients that means constant
 			// TCP churn, which drowns the signal on small runs.
@@ -351,8 +358,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			ts.Close()
-			srv.Close(context.Background())
 		})
+		ts.Close()
+		srv.Close(context.Background())
 	}
 }

@@ -29,7 +29,9 @@ func main() {
 	fmt.Printf("predictions for 8 untrained inputs: %v\n\n", out.Predictions())
 	// Hand the scratch arena back to the network's pool — the contract
 	// every Forward caller owes (pimcaps-vet's releasecheck enforces it).
+	// The network is done, so Close stops its chunk workers.
 	out.Release()
+	net.Close()
 
 	// --- 2. The same routing procedure, evaluated as an architecture. ---
 	b, _ := workload.ByName("Caps-MN1")

@@ -46,6 +46,7 @@ func main() {
 			}
 		}
 		acc := capsnet.Evaluate(net, test.Images, test.Labels, capsnet.ExactMath{})
+		net.Close()
 		fmt.Printf("  %d iterations: accuracy %.1f%%\n", iters, 100*acc)
 	}
 

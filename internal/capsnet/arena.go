@@ -2,7 +2,6 @@ package capsnet
 
 import (
 	"runtime"
-	"sync"
 
 	"pimcapsnet/internal/tensor"
 )
@@ -18,135 +17,43 @@ import (
 // channel of pre-allocated job slots. This is the software analogue of
 // the on-chip buffer management the paper's related accelerators
 // (CapsAcc, DESCNet) use to attack the same data-reuse problem.
-
-// panicCell captures the first panic raised by a set of chunk workers
-// so the dispatching goroutine can re-raise it after all chunks
-// complete. Unlike panicBox it is resettable, so one cell embedded in
-// a scratch serves every dispatch without allocating.
-type panicCell struct {
-	mu sync.Mutex
-	//pimcaps:guardedby mu
-	val any
-	//pimcaps:guardedby mu
-	set bool
-}
-
-func (c *panicCell) reset() {
-	c.mu.Lock()
-	c.val, c.set = nil, false
-	c.mu.Unlock()
-}
-
-func (c *panicCell) capture(p any) {
-	c.mu.Lock()
-	if !c.set {
-		c.val, c.set = p, true
-	}
-	c.mu.Unlock()
-}
-
-// repanic re-raises the captured panic, if any. Call only after every
-// chunk's done signal has been received (the channel receives provide
-// the happens-before edge for reading val without the lock).
-func (c *panicCell) repanic() {
-	//lint:ignore pimcaps/guardedby the per-chunk done-channel receives happen-before this read, so the lock is unnecessary here
-	set, val := c.set, c.val
-	if set {
-		panic(val)
-	}
-}
-
-// chunkJob is one contiguous shard of a chunk dispatch. Jobs live in a
-// pre-allocated per-scratch array; only pointers to them travel
-// through the worker pool's channel, so dispatch allocates nothing.
-type chunkJob struct {
-	fn             func(worker, lo, hi int)
-	worker, lo, hi int
-	done           chan<- struct{}
-	box            *panicCell
-}
-
-// run executes the job, captures any panic into the job's cell, and
-// always signals done (the send is to a buffered channel sized for
-// the full worker count, so it never blocks).
-func (j *chunkJob) run() {
-	defer func() {
-		if p := recover(); p != nil {
-			j.box.capture(p)
-		}
-		j.done <- struct{}{}
-	}()
-	j.fn(j.worker, j.lo, j.hi)
-}
-
-// workerPool is a Network's set of persistent chunk workers. Spawning
-// goroutines per dispatch would allocate on every routing iteration;
-// instead workers are launched once and fed jobs through a channel.
-// Concurrent forward passes share the pool — total parallelism stays
-// bounded by the worker count, which is the point.
-type workerPool struct {
-	jobs chan *chunkJob
-}
-
-func (p *workerPool) work() {
-	for j := range p.jobs {
-		j.run()
-	}
-}
-
-// ensurePool makes sure the Network's pool exists and has at least
-// extra persistent workers (the dispatching goroutine itself runs
-// chunk 0 inline, so extra = workers-1). Called at scratch creation,
-// never on the hot path. The finalizer closes the jobs channel once
-// the Network becomes unreachable so pool goroutines never leak:
-// workers hold only the pool pointer, not the Network, and no forward
-// pass can be in flight on an unreachable Network.
-func (n *Network) ensurePool(extra int) {
-	n.poolMu.Lock()
-	defer n.poolMu.Unlock()
-	if n.pool == nil {
-		n.pool = &workerPool{jobs: make(chan *chunkJob, 64)}
-		runtime.SetFinalizer(n, func(n *Network) { close(n.pool.jobs) })
-	}
-	for n.poolSpawned < extra {
-		go n.pool.work()
-		n.poolSpawned++
-	}
-}
+//
+// The Network owns the workers and the pooled arenas; Close stops and
+// joins the one and drops the other. Nothing is left to a finalizer.
 
 // scratch holds every buffer one forward pass needs, carved from a
 // single arena slab, plus the pre-bound chunk kernels and dispatch
 // plumbing. A scratch serves one forward pass at a time; the Network
 // pools released scratches for reuse.
 type scratch struct {
+	// router is the Eqs. 2–5 routing state over the arena buffers
+	// (preds/b/c/v/s), owned by this scratch so it dispatches through
+	// runChunks. Its nb is the current call's batch size.
+	router
+
 	net  *Network
-	capB int // batch capacity the buffers are sized for
-	maxW int // worker count snapshot (GOMAXPROCS at creation)
+	pool *workerPool // the Network's workers; nil when maxW is 1
+	capB int         // batch capacity the buffers are sized for
+	maxW int         // worker count snapshot (GOMAXPROCS at creation)
 
 	// Layer geometry, computed once.
-	imgLen, convLen        int
-	ph, pw                 int // primary-caps conv output spatial size
-	cols1Len, cols2Len     int
-	primRawLen             int
-	nl, cl, nh, ch, nclass int
+	imgLen, convLen    int
+	ph, pw             int // primary-caps conv output spatial size
+	cols1Len, cols2Len int
+	primRawLen         int
+	cl, nclass         int
 
 	// Arena-carved buffers. batch backs ForwardBatch image assembly;
 	// feats holds the conv outputs batch-wide (used by the fused and
-	// the stage-split front end alike, so both are bit-identical);
-	// u/preds/b/c/v/s are the routing state of Eqs. 1–5; lengths the
-	// ‖v_j‖ outputs; cols1/cols2/praw are per-worker conv scratch.
-	arena                  *tensor.Arena
-	batch, feats, u, preds []float32
-	b, c, v, s, lengths    []float32
-	cols1, cols2, praw     [][]float32
+	// the stage-split front end alike, so both are bit-identical); u is
+	// the primary capsules Eq. 1 reads; lengths the ‖v_j‖ outputs;
+	// cols1/cols2/praw are per-worker conv scratch.
+	arena                    *tensor.Arena
+	batch, feats, u, lengths []float32
+	cols1, cols2, praw       [][]float32
 
-	// Per-call bindings (plain field writes, no allocation).
-	nb   int
-	in   []float32
-	math RoutingMath
-	// aborted is set by routing when the Network's Cancel hook fired
-	// between iterations; forward reads it into Output.Aborted.
-	aborted bool
+	// in is the current call's input images.
+	in []float32
 
 	// Reused tensor views over the buffers above, re-bound per call.
 	uT, bT, cT, vT, lengthsT *tensor.Tensor
@@ -155,27 +62,22 @@ type scratch struct {
 	// above and back at this scratch for Release.
 	out Output
 
-	// Pre-bound chunk kernels (method values created once; they read
-	// the fields above at call time, so growing the buffers does not
-	// invalidate them).
+	// Pre-bound front-end kernels (method values created once; they
+	// read the fields above at call time, so growing the buffers does
+	// not invalidate them).
 	convPrimFn, convFn, primFn, predFn func(w, lo, hi int)
-	aggBFn, aggHFn                     func(w, lo, hi int)
-	agreeBFn, agreeHFn, agreeSharedHFn func(w, lo, hi int)
 
 	// Chunk-dispatch plumbing: a job slot per worker, a buffered done
 	// channel sized for all of them, and a resettable panic cell.
 	jobs []chunkJob
 	done chan struct{}
-	box  panicCell
+	cell panicCell
 }
 
 // newScratch builds a scratch for batches up to nb samples.
 func newScratch(n *Network, nb int) *scratch {
 	s := &scratch{net: n}
 	s.maxW = runtime.GOMAXPROCS(0)
-	if s.maxW < 1 {
-		s.maxW = 1
-	}
 	cfg := n.Config
 	s.imgLen = cfg.InputChannels * cfg.InputH * cfg.InputW
 	convSpec := n.Conv.Spec
@@ -197,26 +99,21 @@ func newScratch(n *Network, nb int) *scratch {
 	s.jobs = make([]chunkJob, s.maxW)
 	s.done = make(chan struct{}, s.maxW)
 	if s.maxW > 1 {
-		n.ensurePool(s.maxW - 1)
+		s.pool = n.ensurePool(s.maxW - 1)
 	}
+	s.owner = s
+	s.bindKernels()
 	s.convPrimFn = s.convPrimRange
 	s.convFn = s.convRange
 	s.primFn = s.primRange
 	s.predFn = s.predRange
-	s.aggBFn = s.aggSamplesRange
-	s.aggHFn = s.aggCapsRange
-	s.agreeBFn = s.agreeSamplesRange
-	s.agreeHFn = s.agreeCapsRange
-	s.agreeSharedHFn = s.agreeSharedCapsRange
-	// A scratch whose Output is never released dies with that Output
-	// instead of returning to the pool; give its bytes back to the
-	// gauge when the collector reclaims it. Pooled scratches stay
-	// reachable from the Network, so their finalizers only run once the
-	// Network itself is gone.
-	runtime.SetFinalizer(s, func(s *scratch) {
-		s.net.arenaFloats.Add(^(uint64(s.arena.Size()) - 1))
-	})
 	return s
+}
+
+// drop gives the scratch's arena bytes back to the ArenaBytes gauge
+// when the scratch leaves the Network for good.
+func (s *scratch) drop() {
+	s.net.arenaFloats.Add(^(uint64(s.arena.Size()) - 1))
 }
 
 // alloc sizes (or re-sizes, on batch growth) every buffer for batches
@@ -276,7 +173,8 @@ func (s *scratch) bind() {
 // on the Network's persistent pool workers. Panics are captured and
 // the first re-raised on the caller, matching parallelChunks. The
 // dispatch allocates nothing: job slots, the done channel, and the
-// panic cell are all part of the scratch.
+// panic cell are all part of the scratch. The pool cannot stop under
+// it: Close stops the workers only once no forward pass is running.
 //
 //pimcaps:hotpath
 func (s *scratch) runChunks(n int, fn func(worker, lo, hi int)) {
@@ -288,7 +186,7 @@ func (s *scratch) runChunks(n int, fn func(worker, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	s.box.reset()
+	s.cell.reset()
 	chunk := (n + workers - 1) / workers
 	used := 0
 	for w := 0; w < workers; w++ {
@@ -301,19 +199,17 @@ func (s *scratch) runChunks(n int, fn func(worker, lo, hi int)) {
 			break
 		}
 		j := &s.jobs[used]
-		j.fn, j.worker, j.lo, j.hi, j.done, j.box = fn, w, lo, hi, s.done, &s.box
+		j.fn, j.worker, j.lo, j.hi, j.done, j.cell = fn, w, lo, hi, s.done, &s.cell
 		used++
 	}
-	//lint:ignore pimcaps/guardedby pool is written once under poolMu in ensurePool, which this goroutine passed through when it acquired the scratch
-	pool := s.net.pool
 	for i := 1; i < used; i++ {
-		pool.jobs <- &s.jobs[i]
+		s.pool.jobs <- &s.jobs[i]
 	}
 	s.jobs[0].run()
 	for i := 0; i < used; i++ {
 		<-s.done
 	}
-	s.box.repanic()
+	s.cell.repanic()
 }
 
 // convSample runs the front-end conv + ReLU for sample k into the
@@ -386,146 +282,44 @@ func (s *scratch) predRange(_, lo, hi int) {
 	predictionVectorsRange(s.u, s.net.Digit.Weights.Data(), s.preds, s.nb, s.nl, s.cl, s.nh, s.ch, lo, hi, true)
 }
 
-//pimcaps:hotpath
-func (s *scratch) aggSamplesRange(_, lo, hi int) {
-	aggregateSamplesRange(s.math, s.preds, s.c, s.s, s.v, s.nl, s.nh, s.ch, lo, hi)
-}
-
-//pimcaps:hotpath
-func (s *scratch) aggCapsRange(_, lo, hi int) {
-	aggregateCapsRange(s.math, s.preds, s.c, s.s, s.v, s.nb, s.nl, s.nh, s.ch, lo, hi)
-}
-
-//pimcaps:hotpath
-func (s *scratch) agreeSamplesRange(_, lo, hi int) {
-	agreementSamplesRange(s.preds, s.v, s.b, s.nl, s.nh, s.ch, lo, hi)
-}
-
-//pimcaps:hotpath
-func (s *scratch) agreeCapsRange(_, lo, hi int) {
-	agreementCapsRange(s.preds, s.v, s.b, s.nb, s.nl, s.nh, s.ch, lo, hi)
-}
-
-//pimcaps:hotpath
-func (s *scratch) agreeSharedCapsRange(_, lo, hi int) {
-	agreementSharedRange(s.preds, s.v, s.b[:s.nl*s.nh], s.nb, s.nl, s.nh, s.ch, lo, hi)
-}
-
-// routing runs the dynamic-routing loop of DynamicRoutingTimed on the
-// scratch buffers with pre-bound kernels: the same iteration skeleton,
-// stage brackets, and kernels (see kernels.go), so results are
-// bit-identical to the public path; only the buffer ownership and the
-// closure binding differ.
-//
-//pimcaps:hotpath
-func (s *scratch) routing(st StageTimer) {
-	n := s.net
-	nb, nl, nh, ch := s.nb, s.nl, s.nh, s.ch
-	mode := n.Digit.Mode
-	iterations := n.Digit.Iterations
-	// The brownout iteration override can only shed iterations (floor
-	// 1), never add them; with the hook nil the count — and the whole
-	// loop — is bit-identical to the unhooked path.
-	if lim := n.IterationLimit; lim != nil {
-		if k := lim(); k < iterations {
-			if k < 1 {
-				k = 1
-			}
-			iterations = k
-		}
+// ensurePool returns the Network's worker pool, starting it on first
+// use and growing it to at least extra workers (the dispatching
+// goroutine runs chunk 0 itself, so a scratch of w workers needs
+// w-1). Called at scratch creation, never on the hot path.
+func (n *Network) ensurePool(extra int) *workerPool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.pool == nil {
+		n.pool = &workerPool{jobs: make(chan *chunkJob, 64)}
 	}
-	cancel := n.Cancel
-	s.aborted = false
-	mathOps := s.math
-	bd := s.b[:nb*nl*nh]
-	cd := s.c[:nb*nl*nh]
-	sd := s.s[:nb*nh*ch]
-	clear(bd) // logits start at zero, as a fresh tensor would
-	sharedB := bd[:nl*nh]
-
-	dim := ChoosePartition(n.Partition, nb, nl, nh, ch, s.maxW)
-	if dim == PartitionB {
-		n.partB.Add(1)
-	} else {
-		n.partH.Add(1)
+	for ; n.poolSpawned < extra; n.poolSpawned++ {
+		n.pool.wg.Add(1)
+		go n.pool.work()
 	}
-	endStage(beginStage(st, StageRoutingPartition, int(dim)))
-
-	for it := 0; it < iterations; it++ {
-		// Cooperative cancellation: polled between iterations (including
-		// before the first), so an all-expired batch stops burning the
-		// most expensive stage of the pass and the arena goes straight
-		// back to the pool via Release.
-		if cancel != nil && cancel() {
-			s.aborted = true
-			return
-		}
-		iterEnd := beginStage(st, StageRoutingIteration, it)
-
-		end := beginStage(st, StageRoutingSoftmax, it)
-		if mode == RouteBatchShared {
-			softmaxRows(mathOps, cd[:nl*nh], sharedB, nl, nh)
-			for k := 1; k < nb; k++ {
-				copy(cd[k*nl*nh:(k+1)*nl*nh], cd[:nl*nh])
-			}
-		} else {
-			for k := 0; k < nb; k++ {
-				softmaxRows(mathOps, cd[k*nl*nh:(k+1)*nl*nh], bd[k*nl*nh:(k+1)*nl*nh], nl, nh)
-			}
-		}
-		endStage(end)
-
-		end = beginStage(st, StageRoutingAggregate, it)
-		clear(sd)
-		if dim == PartitionB {
-			s.runChunks(nb, s.aggBFn)
-		} else {
-			s.runChunks(nh, s.aggHFn)
-		}
-		endStage(end)
-
-		if it == iterations-1 {
-			endStage(iterEnd)
-			break
-		}
-
-		end = beginStage(st, StageRoutingAgreement, it)
-		if mode == RouteBatchShared {
-			if dim == PartitionB {
-				agreementSharedRange(s.preds, s.v, sharedB, nb, nl, nh, ch, 0, nh)
-			} else {
-				s.runChunks(nh, s.agreeSharedHFn)
-			}
-		} else if dim == PartitionB {
-			s.runChunks(nb, s.agreeBFn)
-		} else {
-			s.runChunks(nh, s.agreeHFn)
-		}
-		endStage(end)
-		endStage(iterEnd)
-	}
-	if mode == RouteBatchShared {
-		for k := 1; k < nb; k++ {
-			copy(bd[k*nl*nh:(k+1)*nl*nh], sharedB)
-		}
-	}
+	return n.pool
 }
 
-// acquireScratch pops a pooled scratch (growing it if the batch
-// outgrew its buffers) or builds a fresh one. Steady state — a
-// released scratch available, nb within capacity — is a mutex-guarded
-// slice pop: zero allocations.
+// acquireScratch admits a forward pass and pops a pooled scratch
+// (growing it if the batch outgrew its buffers) or builds a fresh one.
+// Steady state — a released scratch available, nb within capacity —
+// is a mutex-guarded slice pop: zero allocations. Every admitted pass
+// must end with endPass.
 //
 //pimcaps:hotpath
 func (n *Network) acquireScratch(nb int) *scratch {
-	n.scratchMu.Lock()
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		panic("capsnet: forward pass on a closed Network")
+	}
+	n.passes++
 	var s *scratch
 	if k := len(n.scratchFree) - 1; k >= 0 {
 		s = n.scratchFree[k]
 		n.scratchFree[k] = nil
 		n.scratchFree = n.scratchFree[:k]
 	}
-	n.scratchMu.Unlock()
+	n.mu.Unlock()
 	if s == nil {
 		s = newScratch(n, nb)
 	} else if s.capB < nb {
@@ -535,6 +329,53 @@ func (n *Network) acquireScratch(nb int) *scratch {
 	return s
 }
 
+// endPass retires a forward pass admitted by acquireScratch. The last
+// pass to end on a closed Network stops the workers Close had to leave
+// running for it.
+func (n *Network) endPass() {
+	n.mu.Lock()
+	n.passes--
+	var stop *workerPool
+	if n.closed && n.passes == 0 {
+		stop = n.pool
+	}
+	n.mu.Unlock()
+	if stop != nil {
+		close(stop.jobs)
+	}
+}
+
+// Close releases what the Network holds for forward passes: it stops
+// and joins the chunk workers and drops the pooled scratch arenas, so
+// ArenaBytes reads 0 once every Output is released (an Output released
+// after Close drops its arena instead of pooling it). A forward pass
+// still running when Close is called — one a serving watchdog gave up
+// on, say — completes normally, and the workers stop when it returns
+// instead of being joined here. Forward and ForwardBatch panic after
+// Close; the weights and every other method stay usable. Close is
+// idempotent.
+func (n *Network) Close() {
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return
+	}
+	n.closed = true
+	for _, s := range n.scratchFree {
+		s.drop()
+	}
+	n.scratchFree = nil
+	var stop *workerPool
+	if n.passes == 0 {
+		stop = n.pool
+	}
+	n.mu.Unlock()
+	if stop != nil {
+		close(stop.jobs)
+		stop.wg.Wait()
+	}
+}
+
 // Release returns the Output's scratch arena to the Network's pool so
 // the next Forward/ForwardBatch call reuses it — the step that makes
 // the steady-state forward path allocation-free. After Release the
@@ -542,9 +383,9 @@ func (n *Network) acquireScratch(nb int) *scratch {
 // RoutingResult) alias buffers the next forward pass will overwrite;
 // copy anything you need first. Release is idempotent; an Output that
 // is never released simply keeps its buffers (the pre-arena behavior,
-// safe but unpooled) until the collector reclaims them, but abandons
-// the pooling win — which is why releasecheck makes every Forward
-// caller, trainers included, reach a Release.
+// safe but unpooled, and still counted by ArenaBytes) but abandons the
+// pooling win — which is why releasecheck makes every Forward caller,
+// trainers included, reach a Release.
 //
 //pimcaps:hotpath
 func (o *Output) Release() {
@@ -554,15 +395,19 @@ func (o *Output) Release() {
 	}
 	o.scr = nil
 	n := s.net
-	n.scratchMu.Lock()
-	//lint:ignore pimcaps/hotpathcheck the free-list grows to the steady-state scratch count and then never reallocates; there is no fixed bound to pre-size it to
-	n.scratchFree = append(n.scratchFree, s)
-	n.scratchMu.Unlock()
+	n.mu.Lock()
+	if n.closed {
+		s.drop()
+	} else {
+		//lint:ignore pimcaps/hotpathcheck the free-list grows to the steady-state scratch count and then never reallocates; there is no fixed bound to pre-size it to
+		n.scratchFree = append(n.scratchFree, s)
+	}
+	n.mu.Unlock()
 }
 
 // ArenaBytes reports the bytes held by this Network's forward-pass
 // scratch arenas (a high-water figure: arenas grow with the largest
-// batch seen and are retained by the pool). Serving exposes it as the
+// batch seen and are retained by the pool until Close). Serving exposes it as the
 // capsnet_arena_bytes gauge.
 func (n *Network) ArenaBytes() uint64 { return 4 * n.arenaFloats.Load() }
 

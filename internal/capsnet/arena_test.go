@@ -32,10 +32,7 @@ func TestForwardBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	images := arenaTestImages(net, 4, 1)
 	mathOps := RoutingMath(ExactMath{})
 	// Warm the pool: first call builds the scratch and the worker pool.
@@ -56,10 +53,7 @@ func TestForwardAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	batch := tensor.New(2, 1, 12, 12)
 	rng := rand.New(rand.NewSource(3))
 	for i := range batch.Data() {
@@ -89,10 +83,7 @@ func TestForwardBatchAllocFreeMultiWorker(t *testing.T) {
 	}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	images := arenaTestImages(net, 8, 2)
 	mathOps := RoutingMath(ExactMath{})
 	for i := 0; i < 2; i++ {
@@ -117,10 +108,7 @@ func TestRoutingIterationAllocFree(t *testing.T) {
 	}
 	cfg := TinyConfig(3)
 	cfg.RoutingIterations = 1
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, cfg)
 	images := arenaTestImages(net, 2, 5)
 	mathOps := RoutingMath(NewPEMath())
 	for i := 0; i < 2; i++ {
@@ -140,14 +128,8 @@ func TestRoutingIterationAllocFree(t *testing.T) {
 // fresh buffers every call.
 func TestArenaReuseBitIdentical(t *testing.T) {
 	cfg := TinyConfig(4)
-	reuse, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reuse := newTestNet(t, cfg)
+	fresh := newTestNet(t, cfg)
 	for _, mode := range []struct {
 		name    string
 		mathOps RoutingMath
@@ -186,10 +168,7 @@ func TestForcedPartitionsBitIdentical(t *testing.T) {
 		cfg.SharedRouting = shared
 		var ref *Output
 		for _, part := range []Partition{PartitionAuto, PartitionB, PartitionH} {
-			net, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			net := newTestNet(t, cfg)
 			net.Partition = part
 			images := arenaTestImages(net, 5, 42)
 			out := net.ForwardBatch(images, ExactMath{})
@@ -224,10 +203,7 @@ func TestForcedPartitionsBitIdentical(t *testing.T) {
 func TestConcurrentForwardBatchRelease(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	const goroutines = 4
 	const rounds = 8
 	inputs := make([][][]float32, goroutines)
@@ -291,10 +267,7 @@ func itoa(v int) string {
 // must return to the pool exactly once, so two sequential forwards
 // after a double release still use distinct buffers.
 func TestReleaseIdempotent(t *testing.T) {
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	images := arenaTestImages(net, 2, 9)
 	out := net.ForwardBatch(images, ExactMath{})
 	out.Release()
@@ -315,10 +288,7 @@ func TestReleaseIdempotent(t *testing.T) {
 func TestRunChunksRepanics(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	images := arenaTestImages(net, 8, 13)
 	out := net.ForwardBatch(images, ExactMath{})
 	scr := out.scr

@@ -122,24 +122,23 @@ func (t *FullTrainer) TrainBatch(batch *tensor.Tensor, labels []int) (loss float
 
 	numL := net.NumPrimaryCaps()
 	cl, nc, dd := cfg.PrimaryDim, cfg.Classes, cfg.DigitDim
-	imgLen := cfg.InputC()
-	_ = imgLen
-
 	// ---- forward, retaining intermediates ----
 	imgSize := cfg.InputChannels * cfg.InputH * cfg.InputW
 	convOuts := make([]*tensor.Tensor, nb) // post-ReLU conv features
 	rawCaps := make([]*tensor.Tensor, nb)  // pre-squash primary capsule vectors (numL×cl)
 	u := tensor.New(nb, numL, cl)
-	parallelFor(nb, func(k int) {
-		img := tensor.FromSlice(batch.Data()[k*imgSize:(k+1)*imgSize], cfg.InputChannels, cfg.InputH, cfg.InputW)
-		feat := net.Conv.Forward(img)
-		convOuts[k] = feat
-		raw := tensor.Conv2D(feat, net.Primary.Conv.Weights, net.Primary.Conv.Bias, net.Primary.Conv.Spec)
-		caps := regroupPrimary(raw, net.Primary) // numL×cl, pre-squash
-		rawCaps[k] = caps
-		dst := u.Data()[k*numL*cl : (k+1)*numL*cl]
-		for i := 0; i < numL; i++ {
-			squashInto(mathOps, dst[i*cl:(i+1)*cl], caps.Data()[i*cl:(i+1)*cl])
+	parallelChunks(nb, maxWorkers(nb), func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			img := tensor.FromSlice(batch.Data()[k*imgSize:(k+1)*imgSize], cfg.InputChannels, cfg.InputH, cfg.InputW)
+			feat := net.Conv.Forward(img)
+			convOuts[k] = feat
+			raw := tensor.Conv2D(feat, net.Primary.Conv.Weights, net.Primary.Conv.Bias, net.Primary.Conv.Spec)
+			caps := regroupPrimary(raw, net.Primary) // numL×cl, pre-squash
+			rawCaps[k] = caps
+			dst := u.Data()[k*numL*cl : (k+1)*numL*cl]
+			for i := 0; i < numL; i++ {
+				squashInto(mathOps, dst[i*cl:(i+1)*cl], caps.Data()[i*cl:(i+1)*cl])
+			}
 		}
 	})
 	preds := PredictionVectors(u, net.Digit.Weights)
@@ -444,6 +443,3 @@ func applyUpdate(w, dw []float32, step float32) {
 }
 
 func applyUpdateSlice(w, dw []float32, step float32) { applyUpdate(w, dw, step) }
-
-// InputC is a small helper returning the flattened image length.
-func (c Config) InputC() int { return c.InputChannels * c.InputH * c.InputW }

@@ -111,10 +111,7 @@ func TestFullTrainerGradCheckDigitWeights(t *testing.T) {
 		// stop-gradient analytic gradient is exact and numerically checkable
 		Seed: 5,
 	}
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, cfg)
 	rng := rand.New(rand.NewSource(9))
 	batch := tensor.New(2, 1, 8, 8)
 	for i := range batch.Data() {
@@ -175,10 +172,7 @@ func TestFullTrainerLearns(t *testing.T) {
 	train := gen.Generate(45)
 	test := gen.Generate(30)
 
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	tr := NewFullTrainer(net, 0.5)
 	imgLen := 144
 	for ep := 0; ep < 15; ep++ {
@@ -200,10 +194,7 @@ func TestFullTrainerWithReconstruction(t *testing.T) {
 
 	cfg := TinyConfig(2)
 	cfg.WithDecoder = true
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, cfg)
 	tr := NewFullTrainer(net, 0.3)
 	tr.ReconWeight = 1
 
@@ -231,7 +222,7 @@ func TestFullTrainerWithReconstruction(t *testing.T) {
 }
 
 func TestFullTrainerReconRequiresDecoder(t *testing.T) {
-	net, _ := New(TinyConfig(2))
+	net := newTestNet(t, TinyConfig(2))
 	tr := NewFullTrainer(net, 0.1)
 	tr.ReconWeight = 1
 	defer func() {
@@ -243,7 +234,7 @@ func TestFullTrainerReconRequiresDecoder(t *testing.T) {
 }
 
 func TestFullTrainerLabelMismatchPanics(t *testing.T) {
-	net, _ := New(TinyConfig(2))
+	net := newTestNet(t, TinyConfig(2))
 	tr := NewFullTrainer(net, 0.1)
 	defer func() {
 		if recover() == nil {
@@ -271,10 +262,7 @@ func TestFullTrainerBeatsCapsuleOnlyTrainer(t *testing.T) {
 	cfg.PrimaryChannels = 2
 
 	run := func(full bool) float64 {
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := newTestNet(t, cfg)
 		imgLen := 144
 		step := func(b *tensor.Tensor, l []int) {
 			if full {
@@ -307,7 +295,7 @@ func TestFullTrainerDeterministic(t *testing.T) {
 	gen := dataset.NewGenerator(spec)
 	ds := gen.Generate(24)
 	run := func() *Network {
-		net, _ := New(TinyConfig(3))
+		net := newTestNet(t, TinyConfig(3))
 		tr := NewFullTrainer(net, 0.4)
 		for i := 0; i < 3; i++ {
 			tr.TrainBatch(ds.Images, ds.Labels)
@@ -329,7 +317,7 @@ func TestFullTrainerMomentumLearns(t *testing.T) {
 	train := gen.Generate(45)
 	test := gen.Generate(30)
 
-	net, _ := New(TinyConfig(3))
+	net := newTestNet(t, TinyConfig(3))
 	tr := NewFullTrainer(net, 0.2)
 	tr.Momentum = 0.9
 	tr.WeightDecay = 1e-4
@@ -353,7 +341,7 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 	gen := dataset.NewGenerator(spec)
 	ds := gen.Generate(8)
 	norm := func(decay float32) float64 {
-		net, _ := New(TinyConfig(2))
+		net := newTestNet(t, TinyConfig(2))
 		tr := NewFullTrainer(net, 0.2)
 		tr.WeightDecay = decay
 		for i := 0; i < 8; i++ {

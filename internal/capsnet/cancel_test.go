@@ -38,14 +38,8 @@ func cancelTestImages(n *Network, count int) [][]float32 {
 // lowering the count) produces outputs bit-identical to a network with
 // the hooks nil.
 func TestInactiveHooksBitIdentical(t *testing.T) {
-	bare, err := New(TinyConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hooked, err := New(TinyConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := newTestNet(t, TinyConfig(4))
+	hooked := newTestNet(t, TinyConfig(4))
 	hooked.Cancel = func() bool { return false }
 	hooked.IterationLimit = func() int { return hooked.Config.RoutingIterations }
 
@@ -67,10 +61,7 @@ func TestInactiveHooksBitIdentical(t *testing.T) {
 // TestIterationLimitReducesIterations verifies the override sheds
 // iterations (observed through the StageTimer) and clamps at 1.
 func TestIterationLimitReducesIterations(t *testing.T) {
-	n, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := newTestNet(t, TinyConfig(3))
 	counter := &iterationCounter{}
 	n.Stages = counter
 	images := cancelTestImages(n, 2)
@@ -118,10 +109,7 @@ func (c *iterationCounter) BeginStage(stage string, _ int) func() {
 // bytes stay flat across an aborted pass), and the network serves
 // bit-identical results afterwards.
 func TestCancelAbortsBetweenIterations(t *testing.T) {
-	n, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := newTestNet(t, TinyConfig(3))
 	images := cancelTestImages(n, 2)
 
 	// Baseline pass: warms the scratch pool and gives the reference
@@ -176,10 +164,7 @@ func TestCancelAbortsBetweenIterations(t *testing.T) {
 // TestCancelBeforeFirstIteration covers the degenerate abort: the hook
 // is already true when routing starts, so zero iterations run.
 func TestCancelBeforeFirstIteration(t *testing.T) {
-	n, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := newTestNet(t, TinyConfig(3))
 	counter := &iterationCounter{}
 	n.Stages = counter
 	n.Cancel = func() bool { return true }

@@ -110,7 +110,7 @@ func TestRotationDegradesBothModelsSanely(t *testing.T) {
 	test := gen.Generate(30)
 	rotated := test.Rotated(20)
 
-	caps, _ := New(TinyConfig(3))
+	caps := newTestNet(t, TinyConfig(3))
 	capsTr := NewTrainer(caps, 1.0)
 	cnn, _ := NewCNN(TinyCNNConfig(3))
 	cnnTr := &CNNTrainer{Net: cnn, LR: 0.1}
@@ -153,7 +153,7 @@ func TestCapsulesBeatPoolingUnderRotation(t *testing.T) {
 	train := gen.Generate(classes * 40)
 	test := gen.Generate(classes * 25)
 
-	caps, _ := New(TinyConfig(classes))
+	caps := newTestNet(t, TinyConfig(classes))
 	capsTr := NewFullTrainer(caps, 0.5)
 	cnn, _ := NewCNN(TinyCNNConfig(classes))
 	cnnTr := &CNNTrainer{Net: cnn, LR: 0.1}

@@ -23,13 +23,17 @@ func ExampleDynamicRouting() {
 }
 
 // ExampleNetwork_Forward builds a small CapsNet and classifies a batch.
+// Release hands the Output's arena back to the network; Close stops the
+// network's workers once it is no longer needed.
 func ExampleNetwork_Forward() {
 	net, err := capsnet.New(capsnet.TinyConfig(3))
 	if err != nil {
 		panic(err)
 	}
+	defer net.Close()
 	batch := tensor.New(2, 1, 12, 12) // two blank 12×12 images
 	out := net.Forward(batch, capsnet.ExactMath{})
+	defer out.Release()
 	fmt.Println("predictions per image:", len(out.Predictions()))
 	fmt.Println("class scores per image:", out.Lengths.Dim(1))
 	// Output:

@@ -12,20 +12,14 @@ import (
 // bug). CI runs this for a 10s smoke on every push; the seed corpus
 // alone runs under plain `go test`.
 func FuzzLoad(f *testing.F) {
-	net, err := New(TinyConfig(2))
-	if err != nil {
-		f.Fatal(err)
-	}
+	net := newTestNet(f, TinyConfig(2))
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
 
-	dec, err := New(func() Config { c := TinyConfig(2); c.WithDecoder = true; return c }())
-	if err != nil {
-		f.Fatal(err)
-	}
+	dec := newTestNet(f, func() Config { c := TinyConfig(2); c.WithDecoder = true; return c }())
 	var decBuf bytes.Buffer
 	if err := dec.Save(&decBuf); err != nil {
 		f.Fatal(err)

@@ -18,10 +18,7 @@ func serveBenchNet(b *testing.B) (*Network, [][]float32) {
 		Classes: 10, DigitDim: 16, RoutingIterations: 3,
 		Seed: 1,
 	}
-	net, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	net := newTestNet(b, cfg)
 	rng := rand.New(rand.NewSource(3))
 	imgs := make([][]float32, 8)
 	for i := range imgs {
@@ -48,7 +45,7 @@ func BenchmarkForwardSequential8(b *testing.B) {
 // BenchmarkForwardMicroBatch8 runs the same eight requests as one
 // micro-batch: PredictionVectors streams the routing weight tensor
 // once per batch instead of once per request, and on multi-core hosts
-// parallelFor fans the batch out over GOMAXPROCS.
+// the network's chunk workers fan the batch out over GOMAXPROCS.
 func BenchmarkForwardMicroBatch8(b *testing.B) {
 	net, imgs := serveBenchNet(b)
 	b.ResetTimer()

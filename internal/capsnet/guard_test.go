@@ -29,10 +29,7 @@ func testBatch(t *testing.T, n *Network, nb int) *tensor.Tensor {
 // with exact math and ends up bit-identical to a fully exact forward
 // pass — NaN never reaches the class probabilities.
 func TestFiniteGuardFallsBackToExact(t *testing.T) {
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	batch := testBatch(t, net, 3)
 
 	exact := net.Forward(batch, ExactMath{})
@@ -66,10 +63,7 @@ func TestFiniteGuardFallsBackToExact(t *testing.T) {
 // and the sample must be reported in NonFinite — per sample, leaving
 // clean batchmates untouched.
 func TestFiniteGuardReportsUnrecoverable(t *testing.T) {
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	batch := testBatch(t, net, 3)
 	perSample := net.NumPrimaryCaps() * net.Config.PrimaryDim
 	net.RoutingInputHook = func(data []float32) {
@@ -95,10 +89,7 @@ func TestFiniteGuardReportsUnrecoverable(t *testing.T) {
 // forward pass reports no degradation and the hook field stays nil —
 // the disabled-injector configuration is the production one.
 func TestFiniteGuardZeroOverheadPath(t *testing.T) {
-	net, err := New(TinyConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(2))
 	if net.RoutingInputHook != nil {
 		t.Fatal("hook armed by default")
 	}

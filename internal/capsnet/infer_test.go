@@ -11,10 +11,7 @@ import (
 
 func inferTestSetup(t *testing.T, classes, n int) (*Network, [][]float32) {
 	t.Helper()
-	net, err := New(TinyConfig(classes))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(classes))
 	gen := dataset.NewGenerator(dataset.Tiny(classes))
 	images := make([][]float32, n)
 	for i := range images {

@@ -12,10 +12,7 @@ import (
 // the workload model: the real CapsNet-MNIST network must produce
 // exactly the primary-capsule count Table 1 lists for Caps-MN1.
 func TestMNISTConfigMatchesTable1Geometry(t *testing.T) {
-	net, err := New(MNISTConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, MNISTConfig())
 	mn1, err := workload.ByName("Caps-MN1")
 	if err != nil {
 		t.Fatal(err)
@@ -39,10 +36,7 @@ func TestFullScaleMNISTForward(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale forward skipped in -short mode")
 	}
-	net, err := New(MNISTConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, MNISTConfig())
 	rng := rand.New(rand.NewSource(4))
 	batch := tensor.New(1, 1, 28, 28)
 	for i := range batch.Data() {

@@ -92,7 +92,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Network is a complete CapsNet.
+// Network is a complete CapsNet. Its first forward pass starts chunk
+// worker goroutines that run until Close.
 type Network struct {
 	Config  Config
 	Conv    *ConvLayer
@@ -157,18 +158,22 @@ type Network struct {
 	// re-runs triggered by the finite-value guard.
 	fallbacks atomic.Uint64
 
-	// Scratch-arena pool state (see arena.go): released scratches
-	// await reuse in scratchFree; pool holds the persistent chunk
-	// workers; the atomics feed the ArenaBytes / PartitionCounts
-	// gauges serving exposes.
-	scratchMu sync.Mutex
-	//pimcaps:guardedby scratchMu
+	// Forward-pass resources (see arena.go): released scratches await
+	// reuse in scratchFree; pool holds the persistent chunk workers;
+	// passes counts forward passes in flight, so Close can leave the
+	// workers running for a pass it cannot wait for; the atomics feed
+	// the ArenaBytes / PartitionCounts gauges serving exposes.
+	mu sync.Mutex
+	//pimcaps:guardedby mu
 	scratchFree []*scratch
-	poolMu      sync.Mutex
-	//pimcaps:guardedby poolMu
+	//pimcaps:guardedby mu
 	pool *workerPool
-	//pimcaps:guardedby poolMu
+	//pimcaps:guardedby mu
 	poolSpawned int
+	//pimcaps:guardedby mu
+	passes int
+	//pimcaps:guardedby mu
+	closed      bool
 	arenaFloats atomic.Uint64
 	partB       atomic.Uint64
 	partH       atomic.Uint64
@@ -278,7 +283,9 @@ func (n *Network) Forward(batch *tensor.Tensor, mathOps RoutingMath) *Output {
 // pre-arena path ran, with identical loop nests and accumulation
 // orders, so outputs are bit-identical; only buffer ownership changed.
 func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
+	defer n.endPass()
 	scr.math = mathOps
+	scr.mode = n.Digit.Mode
 	scr.bind()
 	nb := scr.nb
 	st := n.Stages
@@ -304,7 +311,13 @@ func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	end := beginStage(st, StagePredictionVectors, -1)
 	scr.runChunks(n.Digit.NumIn, scr.predFn)
 	endStage(end)
-	scr.routing(st)
+	dim := ChoosePartition(n.Partition, nb, scr.nl, scr.nh, scr.ch, scr.maxW)
+	if dim == PartitionB {
+		n.partB.Add(1)
+	} else {
+		n.partH.Add(1)
+	}
+	aborted := scr.route(n.routingIterations(), dim, n.Cancel, st)
 	out := &scr.out
 	out.Capsules = scr.vT
 	out.Lengths = scr.lengthsT
@@ -312,9 +325,9 @@ func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	out.Primary = scr.uT
 	out.ExactFallbacks = nil
 	out.NonFinite = nil
-	out.Aborted = scr.aborted
+	out.Aborted = aborted
 	out.scr = scr
-	if scr.aborted {
+	if aborted {
 		// Cooperative abort: the caller only wants the arena back, so
 		// the finite guard and length computation — work on partial
 		// routing state — are skipped entirely.
@@ -333,6 +346,20 @@ func (n *Network) forward(scr *scratch, mathOps RoutingMath) *Output {
 	}
 	endStage(end)
 	return out
+}
+
+// routingIterations is the digit layer's iteration count after the
+// IterationLimit hook, which can only shed iterations (floor 1), never
+// add them; with the hook nil the count — and the whole routing loop —
+// is bit-identical to the unhooked path.
+func (n *Network) routingIterations() int {
+	iterations := n.Digit.Iterations
+	if lim := n.IterationLimit; lim != nil {
+		if k := lim(); k < iterations {
+			iterations = max(k, 1)
+		}
+	}
+	return iterations
 }
 
 // allFinite reports whether every element of xs is a finite float32

@@ -32,10 +32,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNetworkForwardShapes(t *testing.T) {
-	net, err := New(TinyConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(4))
 	// Tiny: 12×12 → conv 5/1 → 8×8 → primary 5/2 → 2×2 ×4ch = 16 L caps.
 	if got := net.NumPrimaryCaps(); got != 16 {
 		t.Fatalf("NumPrimaryCaps = %d, want 16", got)
@@ -64,8 +61,8 @@ func TestNetworkForwardShapes(t *testing.T) {
 
 func TestNetworkDeterministic(t *testing.T) {
 	cfg := TinyConfig(3)
-	n1, _ := New(cfg)
-	n2, _ := New(cfg)
+	n1 := newTestNet(t, cfg)
+	n2 := newTestNet(t, cfg)
 	batch := tensor.New(1, 1, 12, 12)
 	for i := range batch.Data() {
 		batch.Data()[i] = float32(i%7) / 7
@@ -80,10 +77,7 @@ func TestNetworkDeterministic(t *testing.T) {
 func TestNetworkWithDecoderReconstructs(t *testing.T) {
 	cfg := TinyConfig(3)
 	cfg.WithDecoder = true
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, cfg)
 	batch := tensor.New(1, 1, 12, 12)
 	out := net.Forward(batch, ExactMath{})
 	recon := net.Reconstruct(out, 0, 1)
@@ -98,7 +92,7 @@ func TestNetworkWithDecoderReconstructs(t *testing.T) {
 }
 
 func TestReconstructWithoutDecoderPanics(t *testing.T) {
-	net, _ := New(TinyConfig(3))
+	net := newTestNet(t, TinyConfig(3))
 	out := net.Forward(tensor.New(1, 1, 12, 12), ExactMath{})
 	defer func() {
 		if recover() == nil {
@@ -201,10 +195,7 @@ func TestTrainerLearnsSyntheticClasses(t *testing.T) {
 	test := gen.Generate(30)
 
 	cfg := TinyConfig(3)
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, cfg)
 	tr := NewTrainer(net, 1.0)
 	imgLen := 12 * 12
 	for epoch := 0; epoch < 25; epoch++ {
@@ -223,7 +214,7 @@ func TestTrainerReducesLoss(t *testing.T) {
 	spec := dataset.Tiny(2)
 	gen := dataset.NewGenerator(spec)
 	ds := gen.Generate(20)
-	net, _ := New(TinyConfig(2))
+	net := newTestNet(t, TinyConfig(2))
 	tr := NewTrainer(net, 0.3)
 	first, _ := tr.TrainBatch(ds.Images, ds.Labels)
 	var last float32
@@ -236,7 +227,7 @@ func TestTrainerReducesLoss(t *testing.T) {
 }
 
 func TestTrainBatchLabelMismatchPanics(t *testing.T) {
-	net, _ := New(TinyConfig(2))
+	net := newTestNet(t, TinyConfig(2))
 	tr := NewTrainer(net, 0.1)
 	defer func() {
 		if recover() == nil {

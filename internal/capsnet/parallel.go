@@ -5,94 +5,60 @@ import (
 	"sync"
 )
 
-// panicBox captures the first panic raised by a pool of workers so
-// the caller goroutine can re-raise it after the pool drains. Without
-// this, a panic inside a worker goroutine kills the whole process —
-// no recover() on the serving path can reach it — which is exactly
-// the failure mode the fault-injection campaign exercises.
-type panicBox struct {
-	once sync.Once
-	val  any
+// This file holds the package's two chunk dispatchers. Both split
+// [0, n) into one contiguous chunk per worker, hand every worker a
+// distinct index so it can own private buffers, and re-raise the first
+// worker panic on the calling goroutine — without that, a panic inside
+// a worker goroutine kills the whole process, out of reach of any
+// recover() on the serving path, which is exactly the failure mode the
+// fault-injection campaign exercises. Who owns the call picks the
+// dispatcher: a Network's scratch arenas feed its persistent
+// workerPool through scratch.runChunks (allocation-free, joined by
+// Network.Close); the ownerless tensor API and the trainer spawn
+// goroutines per call through parallelChunks.
+
+// panicCell captures the first panic raised by a set of chunk workers
+// so the dispatching goroutine can re-raise it after all chunks
+// complete. It is resettable, so one cell embedded in a scratch serves
+// every dispatch without allocating.
+type panicCell struct {
+	mu sync.Mutex
+	//pimcaps:guardedby mu
+	val any
+	//pimcaps:guardedby mu
+	set bool
 }
 
-// capture records p if it is the first panic seen.
-func (b *panicBox) capture(p any) {
-	b.once.Do(func() { b.val = p })
+func (c *panicCell) reset() {
+	c.mu.Lock()
+	c.val, c.set = nil, false
+	c.mu.Unlock()
 }
 
-// repanic re-raises the captured panic, if any, on the calling
-// goroutine. Call it only after the worker WaitGroup has drained (the
-// Wait provides the happens-before edge for reading val).
-func (b *panicBox) repanic() {
-	if b.val != nil {
-		panic(b.val)
+func (c *panicCell) capture(p any) {
+	c.mu.Lock()
+	if !c.set {
+		c.val, c.set = p, true
 	}
+	c.mu.Unlock()
 }
 
-// parallelFor runs fn(k) for k in [0, n) across GOMAXPROCS workers.
-// Work items must write to disjoint state (every use in this package
-// writes per-sample slices), so results are identical to the serial
-// loop.
-//
-// If any fn panics, the panic is recovered on its worker, the pool
-// finishes the remaining items it can, and the first panic is
-// re-raised on the caller goroutine — so callers (and ultimately the
-// serve batcher) see the same control flow as a panicking serial
-// loop instead of a process crash.
-func parallelFor(n int, fn func(k int)) {
-	workers := runtime.GOMAXPROCS(0)
-	// Serial threshold: with fewer than two work items per worker
-	// (n < 2×GOMAXPROCS), goroutine launch + channel traffic costs
-	// more than the parallelism recovers and shows up as scheduler
-	// noise in capsnet_stage_seconds, so tiny fan-outs run inline.
-	// Callers already require fn to be order-independent (disjoint
-	// writes), so the serial loop computes identical results.
-	if workers <= 1 || n < 2*workers {
-		for k := 0; k < n; k++ {
-			fn(k)
-		}
-		return
+// repanic re-raises the captured panic, if any. Call only after every
+// chunk has finished (the done-channel receives or the WaitGroup wait
+// provide the happens-before edge for reading val without the lock).
+func (c *panicCell) repanic() {
+	//lint:ignore pimcaps/guardedby the per-chunk done-channel receives happen-before this read, so the lock is unnecessary here
+	set, val := c.set, c.val
+	if set {
+		panic(val)
 	}
-	if workers > n {
-		workers = n
-	}
-	// The channel is buffered for all n items and filled before any
-	// worker starts, so the dispatcher never serializes on a blocking
-	// per-item handoff in hot batched-forward loops; workers still pull
-	// items one at a time, keeping the dynamic load balancing.
-	next := make(chan int, n)
-	for k := 0; k < n; k++ {
-		next <- k
-	}
-	close(next)
-	var (
-		wg  sync.WaitGroup
-		box panicBox
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					box.capture(p)
-				}
-			}()
-			for k := range next {
-				fn(k)
-			}
-		}()
-	}
-	wg.Wait()
-	box.repanic()
 }
 
 // parallelChunks splits [0, n) into one contiguous chunk per worker
-// and runs fn(worker, lo, hi) concurrently; workers receive distinct
-// worker indices so they can own private accumulation buffers that the
-// caller merges deterministically afterwards. Worker panics are
-// recovered and the first one re-raised on the caller goroutine, as
-// in parallelFor.
+// and runs fn(worker, lo, hi) concurrently on goroutines spawned for
+// this call, returning the number of chunks used. Work items must
+// write to disjoint state, so results are identical to the serial
+// loop.
 func parallelChunks(n, workers int, fn func(worker, lo, hi int)) int {
 	if workers > n {
 		workers = n
@@ -102,8 +68,8 @@ func parallelChunks(n, workers int, fn func(worker, lo, hi int)) int {
 		return 1
 	}
 	var (
-		wg  sync.WaitGroup
-		box panicBox
+		wg   sync.WaitGroup
+		cell panicCell
 	)
 	chunk := (n + workers - 1) / workers
 	used := 0
@@ -122,14 +88,14 @@ func parallelChunks(n, workers int, fn func(worker, lo, hi int)) int {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					box.capture(p)
+					cell.capture(p)
 				}
 			}()
 			fn(w, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	box.repanic()
+	cell.repanic()
 	return used
 }
 
@@ -143,4 +109,45 @@ func maxWorkers(n int) int {
 		w = 1
 	}
 	return w
+}
+
+// chunkJob is one contiguous shard of a pooled dispatch. Jobs live in
+// a pre-allocated per-scratch array; only pointers to them travel
+// through the worker pool's channel, so dispatch allocates nothing.
+type chunkJob struct {
+	fn             func(worker, lo, hi int)
+	worker, lo, hi int
+	done           chan<- struct{}
+	cell           *panicCell
+}
+
+// run executes the job, captures any panic into the job's cell, and
+// always signals done (the send is to a buffered channel sized for
+// the full worker count, so it never blocks).
+func (j *chunkJob) run() {
+	defer func() {
+		if p := recover(); p != nil {
+			j.cell.capture(p)
+		}
+		j.done <- struct{}{}
+	}()
+	j.fn(j.worker, j.lo, j.hi)
+}
+
+// workerPool is a Network's set of persistent chunk workers. Spawning
+// goroutines per dispatch would allocate on every routing iteration;
+// instead workers are launched once and fed jobs through a channel.
+// Concurrent forward passes share the pool, so total parallelism stays
+// bounded by the worker count, which is the point. Closing jobs stops
+// the workers; wg joins them.
+type workerPool struct {
+	jobs chan *chunkJob
+	wg   sync.WaitGroup
+}
+
+func (p *workerPool) work() {
+	defer p.wg.Done()
+	for j := range p.jobs {
+		j.run()
+	}
 }

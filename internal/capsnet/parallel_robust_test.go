@@ -10,12 +10,22 @@ import (
 // errBoom is a recognizable panic payload for the recovery tests.
 var errBoom = errors.New("boom")
 
-// TestParallelForRepanicsOnCaller: a worker panic must not kill the
-// process; it is re-raised on the calling goroutine with the original
-// value, like a panicking serial loop.
+// eachIndex runs fn once per index of [0, n) through parallelChunks at
+// the default worker count: the per-item loop form the trainer uses.
+func eachIndex(n int, fn func(k int)) {
+	parallelChunks(n, maxWorkers(n), func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			fn(k)
+		}
+	})
+}
+
+// TestParallelForRepanicsOnCaller: a panic in one work item must not
+// kill the process; it is re-raised on the calling goroutine with the
+// original value, like a panicking serial loop, after other items ran.
 func TestParallelForRepanicsOnCaller(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >1 worker to exercise the pool path")
+		t.Skip("needs >1 worker to exercise the goroutine path")
 	}
 	var ran atomic.Int64
 	defer func() {
@@ -31,24 +41,13 @@ func TestParallelForRepanicsOnCaller(t *testing.T) {
 			t.Fatal("no work item ran")
 		}
 	}()
-	parallelFor(64, func(k int) {
+	eachIndex(64, func(k int) {
 		if k == 17 {
 			panic(errBoom)
 		}
 		ran.Add(1)
 	})
-	t.Fatal("parallelFor returned instead of panicking")
-}
-
-// TestParallelForSerialPathPanics: with n=1 the serial path panics
-// directly on the caller.
-func TestParallelForSerialPathPanics(t *testing.T) {
-	defer func() {
-		if p := recover(); p == nil {
-			t.Fatal("serial-path panic was swallowed")
-		}
-	}()
-	parallelFor(1, func(int) { panic(errBoom) })
+	t.Fatal("parallelChunks returned instead of panicking")
 }
 
 // TestParallelForResultsUnchanged: the recovery wrapper must not
@@ -56,7 +55,7 @@ func TestParallelForSerialPathPanics(t *testing.T) {
 func TestParallelForResultsUnchanged(t *testing.T) {
 	const n = 257
 	got := make([]int, n)
-	parallelFor(n, func(k int) { got[k] = k * k })
+	eachIndex(n, func(k int) { got[k] = k * k })
 	for k := 0; k < n; k++ {
 		if got[k] != k*k {
 			t.Fatalf("item %d = %d, want %d", k, got[k], k*k)
@@ -64,8 +63,22 @@ func TestParallelForResultsUnchanged(t *testing.T) {
 	}
 }
 
-// TestParallelChunksRepanicsOnCaller mirrors the parallelFor test for
-// the chunked variant.
+// TestParallelForCoversEveryIndexOnce: for every size, including the
+// empty and the single-item range, each index runs exactly once.
+func TestParallelForCoversEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+		hits := make([]int32, n)
+		eachIndex(n, func(k int) { atomic.AddInt32(&hits[k], 1) })
+		for k, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d: index %d ran %d times, want 1", n, k, h)
+			}
+		}
+	}
+}
+
+// TestParallelChunksRepanicsOnCaller: a panicking chunk is re-raised
+// on the caller with the original value.
 func TestParallelChunksRepanicsOnCaller(t *testing.T) {
 	defer func() {
 		p := recover()
@@ -83,6 +96,17 @@ func TestParallelChunksRepanicsOnCaller(t *testing.T) {
 		}
 	})
 	t.Fatal("parallelChunks returned instead of panicking")
+}
+
+// TestParallelChunksSerialPathPanics: with one item the serial path
+// panics directly on the caller.
+func TestParallelChunksSerialPathPanics(t *testing.T) {
+	defer func() {
+		if p := recover(); p == nil {
+			t.Fatal("serial-path panic was swallowed")
+		}
+	}()
+	parallelChunks(1, 4, func(int, int, int) { panic(errBoom) })
 }
 
 // TestParallelChunksNoFault: worker count and coverage are unchanged

@@ -71,17 +71,10 @@ func DynamicRoutingShared(preds *tensor.Tensor, iterations int, mathOps RoutingM
 // single sample under RoutePerSample. The agreement update is skipped
 // after the final iteration (it would only feed a next iteration that
 // never runs), matching reference implementations.
+//
+// It runs the same router loop as Network.Forward, over freshly
+// allocated tensors and with goroutines spawned per dispatch.
 func DynamicRoutingMode(preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode) RoutingResult {
-	return DynamicRoutingTimed(preds, iterations, mathOps, mode, nil)
-}
-
-// DynamicRoutingTimed is DynamicRoutingMode with per-stage
-// observation: each iteration is bracketed as StageRoutingIteration
-// (with its index) and its softmax, aggregate+squash, and agreement
-// phases reported as nested sub-stages — the production counterpart
-// of the per-phase timelines the HMC co-simulator emits. A nil timer
-// is the untimed fast path; results are identical either way.
-func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMath, mode RoutingMode, timer StageTimer) RoutingResult {
 	if preds.Rank() != 4 {
 		panic(fmt.Sprintf("capsnet: DynamicRouting wants B×L×H×CH predictions, got %v", preds.Shape()))
 	}
@@ -92,25 +85,95 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 	b := tensor.New(nb, nl, nh)
 	c := tensor.New(nb, nl, nh)
 	v := tensor.New(nb, nh, ch)
-	s := tensor.New(nb, nh, ch)
-	pd := preds.Data()
-	bd, cd, vd, sd := b.Data(), c.Data(), v.Data(), s.Data()
+	r := &router{
+		nb: nb, nl: nl, nh: nh, ch: ch,
+		preds: preds.Data(), b: b.Data(), c: c.Data(), v: v.Data(),
+		s:    make([]float32, nb*nh*ch), // the sums are not returned
+		math: mathOps, mode: mode,
+	}
+	r.bindKernels()
+	r.route(iterations, ChoosePartition(PartitionAuto, nb, nl, nh, ch, runtime.GOMAXPROCS(0)), nil, nil)
+	return RoutingResult{V: v, C: c, B: b}
+}
 
+// router is the state of one dynamic-routing run over a batch of
+// prediction vectors û (B×L×H×CH): the logits b and coefficients c
+// (B×L×H), the sums s and capsules v (B×H×CH), the run's math and
+// mode, and the chunk kernels pre-bound over those fields. A Network's
+// scratch embeds one whose buffers live in the arena; the tensor API
+// builds one per call over fresh tensors. Both run the same loop, so
+// their results are bit-identical.
+type router struct {
+	nb, nl, nh, ch    int
+	preds, b, c, v, s []float32
+	math              RoutingMath
+	mode              RoutingMode
+	// owner is the scratch embedding this router, whose pooled workers
+	// run its chunks; nil for the tensor API.
+	owner *scratch
+
+	aggBFn, aggHFn                     func(worker, lo, hi int)
+	agreeBFn, agreeHFn, agreeSharedHFn func(worker, lo, hi int)
+}
+
+// run dispatches a chunk kernel: to the owning Network's worker pool
+// when a scratch owns the router, else to goroutines spawned for this
+// call (a pool there would have no owner to stop it).
+//
+//pimcaps:hotpath
+func (r *router) run(n int, fn func(worker, lo, hi int)) {
+	if r.owner != nil {
+		r.owner.runChunks(n, fn)
+		return
+	}
+	parallelChunks(n, runtime.GOMAXPROCS(0), fn)
+}
+
+// bindKernels creates the kernel method values once; they read the
+// router's fields at call time, so re-pointing the buffers later does
+// not invalidate them.
+func (r *router) bindKernels() {
+	r.aggBFn = r.aggSamplesRange
+	r.aggHFn = r.aggCapsRange
+	r.agreeBFn = r.agreeSamplesRange
+	r.agreeHFn = r.agreeCapsRange
+	r.agreeSharedHFn = r.agreeSharedCapsRange
+}
+
+// route runs the given number of routing iterations (see
+// DynamicRoutingMode), sharding the aggregate and agreement phases on
+// dim. Each iteration is bracketed as StageRoutingIteration (with its
+// index) on st, its softmax, aggregate+squash and agreement phases
+// nested inside as sub-stages; a nil st is the untimed path with
+// identical results. A non-nil cancel is polled before every
+// iteration (including the first), and route returns true as soon as
+// it fires, leaving partial state behind — an all-expired batch stops
+// burning the most expensive stage of the pass.
+//
+//pimcaps:hotpath
+func (r *router) route(iterations int, dim Partition, cancel CancelCheck, st StageTimer) (aborted bool) {
+	nb, nl, nh, ch := r.nb, r.nl, r.nh, r.ch
+	mathOps, mode := r.math, r.mode
+	bd := r.b[:nb*nl*nh]
+	cd := r.c[:nb*nl*nh]
+	sd := r.s[:nb*nh*ch]
+	clear(bd) // logits start at zero, as a fresh tensor would
 	// sharedB aliases sample 0's logits when coefficients are shared.
 	sharedB := bd[:nl*nh]
 
-	// Pick the shard dimension once per routing run with the paper's
-	// execution-score model and surface it as a zero-duration marker
-	// stage (iteration = the chosen Partition value) so stage traces
-	// record which way the workload was split.
-	dim := ChoosePartition(PartitionAuto, nb, nl, nh, ch, runtime.GOMAXPROCS(0))
-	endStage(beginStage(timer, StageRoutingPartition, int(dim)))
+	// The shard dimension is picked once per run; a zero-duration
+	// marker stage (iteration = the chosen Partition value) records it
+	// in stage traces.
+	endStage(beginStage(st, StageRoutingPartition, int(dim)))
 
 	for it := 0; it < iterations; it++ {
-		iterEnd := beginStage(timer, StageRoutingIteration, it)
+		if cancel != nil && cancel() {
+			return true
+		}
+		iterEnd := beginStage(st, StageRoutingIteration, it)
 
 		// Step 4/6: routing coefficients from agreement logits.
-		end := beginStage(timer, StageRoutingSoftmax, it)
+		end := beginStage(st, StageRoutingSoftmax, it)
 		if mode == RouteBatchShared {
 			softmaxRows(mathOps, cd[:nl*nh], sharedB, nl, nh)
 			for k := 1; k < nb; k++ {
@@ -128,16 +191,12 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 		// dimension (workers write disjoint s/v regions and every
 		// accumulation order is unchanged, so results are identical to
 		// the serial loop — see kernels.go).
-		end = beginStage(timer, StageRoutingAggregate, it)
+		end = beginStage(st, StageRoutingAggregate, it)
 		clear(sd)
 		if dim == PartitionB {
-			parallelChunks(nb, maxWorkers(nb), func(_, lo, hi int) {
-				aggregateSamplesRange(mathOps, pd, cd, sd, vd, nl, nh, ch, lo, hi)
-			})
+			r.run(nb, r.aggBFn)
 		} else {
-			parallelChunks(nh, maxWorkers(nh), func(_, lo, hi int) {
-				aggregateCapsRange(mathOps, pd, cd, sd, vd, nb, nl, nh, ch, lo, hi)
-			})
+			r.run(nh, r.aggHFn)
 		}
 		endStage(end)
 
@@ -152,23 +211,17 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 		// B-sharding would reorder, so it runs serial under PartitionB
 		// and shards the disjoint (i, j) entries under PartitionH with
 		// k ascending per entry — bit-identical either way.
-		end = beginStage(timer, StageRoutingAgreement, it)
+		end = beginStage(st, StageRoutingAgreement, it)
 		if mode == RouteBatchShared {
 			if dim == PartitionB {
-				agreementSharedRange(pd, vd, sharedB, nb, nl, nh, ch, 0, nh)
+				agreementSharedRange(r.preds, r.v, sharedB, nb, nl, nh, ch, 0, nh)
 			} else {
-				parallelChunks(nh, maxWorkers(nh), func(_, lo, hi int) {
-					agreementSharedRange(pd, vd, sharedB, nb, nl, nh, ch, lo, hi)
-				})
+				r.run(nh, r.agreeSharedHFn)
 			}
 		} else if dim == PartitionB {
-			parallelChunks(nb, maxWorkers(nb), func(_, lo, hi int) {
-				agreementSamplesRange(pd, vd, bd, nl, nh, ch, lo, hi)
-			})
+			r.run(nb, r.agreeBFn)
 		} else {
-			parallelChunks(nh, maxWorkers(nh), func(_, lo, hi int) {
-				agreementCapsRange(pd, vd, bd, nb, nl, nh, ch, lo, hi)
-			})
+			r.run(nh, r.agreeHFn)
 		}
 		endStage(end)
 		endStage(iterEnd)
@@ -178,7 +231,32 @@ func DynamicRoutingTimed(preds *tensor.Tensor, iterations int, mathOps RoutingMa
 			copy(bd[k*nl*nh:(k+1)*nl*nh], sharedB)
 		}
 	}
-	return RoutingResult{V: v, C: c, B: b}
+	return false
+}
+
+//pimcaps:hotpath
+func (r *router) aggSamplesRange(_, lo, hi int) {
+	aggregateSamplesRange(r.math, r.preds, r.c, r.s, r.v, r.nl, r.nh, r.ch, lo, hi)
+}
+
+//pimcaps:hotpath
+func (r *router) aggCapsRange(_, lo, hi int) {
+	aggregateCapsRange(r.math, r.preds, r.c, r.s, r.v, r.nb, r.nl, r.nh, r.ch, lo, hi)
+}
+
+//pimcaps:hotpath
+func (r *router) agreeSamplesRange(_, lo, hi int) {
+	agreementSamplesRange(r.preds, r.v, r.b, r.nl, r.nh, r.ch, lo, hi)
+}
+
+//pimcaps:hotpath
+func (r *router) agreeCapsRange(_, lo, hi int) {
+	agreementCapsRange(r.preds, r.v, r.b, r.nb, r.nl, r.nh, r.ch, lo, hi)
+}
+
+//pimcaps:hotpath
+func (r *router) agreeSharedCapsRange(_, lo, hi int) {
+	agreementSharedRange(r.preds, r.v, r.b[:r.nl*r.nh], r.nb, r.nl, r.nh, r.ch, lo, hi)
 }
 
 // PredictionVectors computes Eq. 1 for a batch: û_j|i^k = u_i^k × W_ij,
@@ -206,7 +284,7 @@ func PredictionVectors(u, w *tensor.Tensor) *tensor.Tensor {
 	// sample the accumulation order over d is unchanged, so results
 	// stay bit-identical to the sample-at-a-time loop, and each (k, i)
 	// output row is written by exactly one worker.
-	parallelChunks(nl, maxWorkers(nl), func(_, lo, hi int) {
+	parallelChunks(nl, runtime.GOMAXPROCS(0), func(_, lo, hi int) {
 		predictionVectorsRange(ud, wd, od, nb, nl, cl, nh, ch, lo, hi, false)
 	})
 	return out

@@ -15,10 +15,7 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg := TinyConfig(4)
 	cfg.WithDecoder = true
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, cfg)
 	// Perturb weights so we aren't just testing seeded init.
 	net.Digit.Weights.Data()[0] = 42
 	net.Conv.Bias[3] = -1.5
@@ -32,6 +29,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(loaded.Close)
 
 	batch := tensor.New(2, 1, 12, 12)
 	for i := range batch.Data() {
@@ -52,7 +50,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoadWithoutDecoder(t *testing.T) {
-	net, _ := New(TinyConfig(2))
+	net := newTestNet(t, TinyConfig(2))
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -73,7 +71,7 @@ func TestLoadGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsCorruptedState(t *testing.T) {
-	net, _ := New(TinyConfig(2))
+	net := newTestNet(t, TinyConfig(2))
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -98,7 +96,7 @@ func checkpointBytes(t *testing.T, net *Network) []byte {
 // the CRC32 trailer with ErrCorruptCheckpoint — never a silently
 // wrong model.
 func TestLoadRejectsBitFlip(t *testing.T) {
-	net, _ := New(TinyConfig(2))
+	net := newTestNet(t, TinyConfig(2))
 	valid := checkpointBytes(t, net)
 	for _, pos := range []int{0, len(valid) / 3, len(valid) / 2, len(valid) - 5} {
 		corrupt := append([]byte(nil), valid...)
@@ -116,7 +114,7 @@ func TestLoadRejectsBitFlip(t *testing.T) {
 // TestLoadRejectsTruncation: every prefix of a valid checkpoint is
 // rejected with the typed error.
 func TestLoadRejectsTruncation(t *testing.T) {
-	net, _ := New(TinyConfig(2))
+	net := newTestNet(t, TinyConfig(2))
 	valid := checkpointBytes(t, net)
 	for _, n := range []int{0, 4, len(valid) / 2, len(valid) - 1} {
 		_, err := Load(bytes.NewReader(valid[:n]))
@@ -132,10 +130,7 @@ func TestLoadRejectsTruncation(t *testing.T) {
 func TestLoadRejectsDecoderBiasMismatch(t *testing.T) {
 	cfg := TinyConfig(2)
 	cfg.WithDecoder = true
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, cfg)
 	st := netState{
 		Config:   net.Config,
 		ConvW:    net.Conv.Weights.Data(),
@@ -158,7 +153,7 @@ func TestLoadRejectsDecoderBiasMismatch(t *testing.T) {
 func TestSaveFileDurable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "net.ckpt")
-	net, _ := New(TinyConfig(3))
+	net := newTestNet(t, TinyConfig(3))
 	net.Digit.Weights.Data()[1] = 7.25
 	if err := net.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -188,7 +183,7 @@ func TestSaveFileCrashKeepsOldCheckpoint(t *testing.T) {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "net.ckpt")
-			oldNet, _ := New(TinyConfig(2))
+			oldNet := newTestNet(t, TinyConfig(2))
 			oldNet.Digit.Weights.Data()[0] = 1.5
 			if err := oldNet.SaveFile(path); err != nil {
 				t.Fatal(err)
@@ -198,7 +193,7 @@ func TestSaveFileCrashKeepsOldCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			newNet, _ := New(TinyConfig(2))
+			newNet := newTestNet(t, TinyConfig(2))
 			newNet.Digit.Weights.Data()[0] = -9
 			checkpointCrashHook = func(s string) {
 				if s == stage {
@@ -246,11 +241,11 @@ func TestSaveFileCrashKeepsOldCheckpoint(t *testing.T) {
 func TestSaveFileCrashAfterRename(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "net.ckpt")
-	oldNet, _ := New(TinyConfig(2))
+	oldNet := newTestNet(t, TinyConfig(2))
 	if err := oldNet.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	newNet, _ := New(TinyConfig(2))
+	newNet := newTestNet(t, TinyConfig(2))
 	newNet.Digit.Weights.Data()[0] = -9
 	checkpointCrashHook = func(s string) {
 		if s == "renamed" {

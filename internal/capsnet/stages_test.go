@@ -31,10 +31,7 @@ func (f *fakeStageTimer) BeginStage(stage string, iteration int) func() {
 // pipeline stage in order, with per-iteration routing stages carrying
 // their iteration index, and that every stage is ended.
 func TestStageTimerSequence(t *testing.T) {
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	ft := &fakeStageTimer{}
 	net.Stages = ft
 	batch := tensor.New(2, 1, 12, 12)
@@ -94,14 +91,8 @@ func TestStageTimerPreservesOutputs(t *testing.T) {
 		cfg := TinyConfig(4)
 		cfg.SharedRouting = shared
 		for _, mathOps := range []RoutingMath{ExactMath{}, NewPEMath()} {
-			plain, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			timed, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := newTestNet(t, cfg)
+			timed := newTestNet(t, cfg)
 			timed.Stages = &fakeStageTimer{}
 
 			batch := tensor.New(3, 1, 12, 12)
@@ -129,10 +120,7 @@ func TestStageTimerPreservesOutputs(t *testing.T) {
 // TestUntimedForwardHasNoTimerCost double-checks the nil fast path
 // still works after the refactor (fused conv/primary loop).
 func TestUntimedForwardHasNoTimerCost(t *testing.T) {
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	batch := tensor.New(1, 1, 12, 12)
 	for i := range batch.Data() {
 		batch.Data()[i] = 0.5

@@ -28,10 +28,7 @@ func TestNegScaleHelpsManyClasses(t *testing.T) {
 		cfg.InputH, cfg.InputW = 16, 16
 		cfg.ConvChannels = 24
 		cfg.PrimaryChannels = 8
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := newTestNet(t, cfg)
 		tr := NewTrainer(net, 1.0)
 		tr.NegScale = neg
 		n := train.Images.Dim(0)
@@ -60,8 +57,8 @@ func TestTrainerNegScaleDefaultIsIdentity(t *testing.T) {
 	gen := dataset.NewGenerator(spec)
 	ds := gen.Generate(12)
 
-	netA, _ := New(TinyConfig(3))
-	netB, _ := New(TinyConfig(3))
+	netA := newTestNet(t, TinyConfig(3))
+	netB := newTestNet(t, TinyConfig(3))
 	trA := NewTrainer(netA, 0.5) // NegScale zero value
 	trB := NewTrainer(netB, 0.5)
 	trB.NegScale = 1 // explicit identity
@@ -77,15 +74,12 @@ func TestTrainerNegScaleDefaultIsIdentity(t *testing.T) {
 func TestSharedRoutingConfigPlumbs(t *testing.T) {
 	cfg := TinyConfig(3)
 	cfg.SharedRouting = true
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, cfg)
 	if net.Digit.Mode != RouteBatchShared {
 		t.Fatal("SharedRouting did not set the layer mode")
 	}
 	cfg.SharedRouting = false
-	net2, _ := New(cfg)
+	net2 := newTestNet(t, cfg)
 	if net2.Digit.Mode != RoutePerSample {
 		t.Fatal("default mode must be per-sample")
 	}

@@ -37,10 +37,7 @@ func trainTestBatch(net *Network, nb int, seed int64) (*tensor.Tensor, []int) {
 // out.Release(), every step leaked its scratch and the gauge grew
 // monotonically.
 func TestTrainBatchReleasesScratch(t *testing.T) {
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	tr := NewTrainer(net, 0.05)
 	batch, labels := trainTestBatch(net, 4, 21)
 	tr.TrainBatch(batch, labels)
@@ -59,10 +56,7 @@ func TestTrainBatchReleasesScratch(t *testing.T) {
 // TestEvaluateReleasesScratch is the same contract for Evaluate, which
 // had the same leak.
 func TestEvaluateReleasesScratch(t *testing.T) {
-	net, err := New(TinyConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newTestNet(t, TinyConfig(3))
 	images, labels := trainTestBatch(net, 5, 22)
 	Evaluate(net, images, labels, ExactMath{})
 	base := net.ArenaBytes()
@@ -86,14 +80,8 @@ func TestEvaluateReleasesScratch(t *testing.T) {
 // fix would show up here as diverging weights.
 func TestTrainBitIdenticalOnReusedScratch(t *testing.T) {
 	cfg := TinyConfig(3)
-	cold, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := newTestNet(t, cfg)
+	warm := newTestNet(t, cfg)
 	// Dirty warm's pool: a released batch-6 scratch full of stale data
 	// is what every training step below will reuse.
 	big, _ := trainTestBatch(warm, 6, 23)

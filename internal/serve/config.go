@@ -13,7 +13,7 @@
 // batch executed by a dedicated runner goroutine), so steady-state
 // throughput is set by the slower of the two sides, as in
 // pipeline.TwoStage. Inside a batch, Forward fans the samples out
-// over GOMAXPROCS workers via capsnet's parallelFor.
+// over the network's GOMAXPROCS chunk workers.
 //
 // Everything is standard library only.
 package serve

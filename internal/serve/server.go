@@ -76,8 +76,9 @@ type Server struct {
 	logger *slog.Logger
 }
 
-// New builds and starts a server over net. The network's weights must
-// stay immutable while the server runs (see capsnet.ForwardBatch's
+// New builds and starts a server over net, which it takes ownership
+// of: Close closes the network. The network's weights must stay
+// immutable while the server runs (see capsnet.ForwardBatch's
 // concurrency contract). mathOps selects the routing numerics —
 // capsnet.ExactMath{} for host numerics, capsnet.NewPEMath() for the
 // PIM processing-element approximations.
@@ -249,13 +250,20 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // Close performs the batcher half of graceful shutdown: readiness
 // flips to 503 immediately, then queued and in-flight batches drain
 // within cfg.DrainTimeout (further bounded by ctx, so a caller with
-// its own shutdown budget can cut the drain short). Call it after
-// http.Server.Shutdown has stopped accepting connections.
+// its own shutdown budget can cut the drain short). The server owns
+// the network it was built over — it installed the network's Stages,
+// Cancel and IterationLimit hooks — so Close then closes the network,
+// stopping its chunk workers; a forward pass the watchdog abandoned
+// finishes first, and a batch the runner starts after a timed-out
+// drain fails with ErrBatchPanic. Call it after http.Server.Shutdown
+// has stopped accepting connections.
 func (s *Server) Close(ctx context.Context) error {
 	s.draining.Store(true)
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
 	defer cancel()
-	return s.batcher.Close(ctx)
+	err := s.batcher.Close(ctx)
+	s.net.Close()
+	return err
 }
 
 // StartDraining flips /readyz to 503 without stopping the batcher,
